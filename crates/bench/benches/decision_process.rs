@@ -43,7 +43,10 @@ fn bench_decision(c: &mut Criterion) {
             b.iter(|| best_route(cands.iter(), &cfg).cloned())
         });
     }
+    // One comparison per iteration; without its own throughput the
+    // pair would report the last `best_of_{n}` candidate count.
     let two = candidates(2);
+    group.throughput(Throughput::Elements(1));
     group.bench_function("compare_pair", |b| {
         b.iter(|| compare_routes(&two[0], &two[1], &cfg))
     });

@@ -8,6 +8,7 @@
 
 use crate::attrs::{AsPathSegment, PathAttributes};
 use crate::rib::{AdjRib, AttrInterner, LocRib, Route};
+use peering_netsim::PrefixTrie;
 use std::collections::HashSet;
 use std::mem::size_of;
 use std::sync::Arc;
@@ -68,10 +69,12 @@ impl DeepSize for AdjRib {
 }
 
 impl DeepSize for LocRib {
-    /// The Loc-RIB is trie-backed: charge every heap node (which embeds
-    /// its `Option<Route>` slot inline) plus an allocator header each.
+    /// The Loc-RIB is trie-backed: charge the trie, every heap node
+    /// (which embeds its `Option<Route>` slot inline) and an allocator
+    /// header each. The mutation counter beside the trie is bookkeeping,
+    /// not table memory, and is not charged.
     fn deep_size(&self) -> usize {
-        size_of::<LocRib>() + self.node_bytes() + self.node_count() * ALLOC_HEADER
+        size_of::<PrefixTrie<Route>>() + self.node_bytes() + self.node_count() * ALLOC_HEADER
     }
 }
 

@@ -275,9 +275,20 @@ impl AdjRib {
 /// iteration equals the old `BTreeMap<Prefix, Route>` order bit for bit,
 /// so [`iter`](Self::iter) — the source of convergence digests and
 /// collector RIB dumps (`nd-hash-iter` contract) — is unchanged.
-#[derive(Debug, Clone, Default)]
+#[derive(Clone, Default)]
 pub struct LocRib {
     best: PrefixTrie<Route>,
+    /// Mutation counter: every mutator bumps it, so two reads at the
+    /// same generation see the same table (see [`generation`](Self::generation)).
+    generation: u64,
+}
+
+// The generation is bookkeeping, not routing state: it stays out of the
+// Debug form so nothing that formats a Loc-RIB can observe it.
+impl fmt::Debug for LocRib {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("LocRib").field("best", &self.best).finish()
+    }
 }
 
 impl LocRib {
@@ -286,14 +297,32 @@ impl LocRib {
         Self::default()
     }
 
+    /// A counter that moves on every mutation. Equal generations of one
+    /// table mean equal contents, which lets callers memoize anything
+    /// derived from the table (the scale harness's digests do). The
+    /// value carries no meaning across different tables.
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
     /// Install `route` as best for its prefix, returning the previous best.
     pub fn set_best(&mut self, route: Route) -> Option<Route> {
+        self.generation += 1;
         self.best.insert(route.prefix, route)
     }
 
     /// Remove the best route for a prefix.
     pub fn remove(&mut self, prefix: &Prefix) -> Option<Route> {
+        self.generation += 1;
         self.best.remove(prefix)
+    }
+
+    /// Drop every best route (a cold restart). The generation moves on
+    /// rather than restarting, so memos taken before the clear stay
+    /// invalid after it.
+    pub fn clear(&mut self) {
+        self.generation += 1;
+        self.best = PrefixTrie::default();
     }
 
     /// The best route for a prefix.
@@ -563,6 +592,29 @@ mod tests {
         assert_eq!(rib.get(&p).unwrap().attrs.as_path.first_as(), Some(Asn(2)));
         assert!(rib.remove(&p).is_some());
         assert!(rib.is_empty());
+    }
+
+    #[test]
+    fn loc_rib_generation_moves_on_every_mutation_and_stays_out_of_debug() {
+        let mut rib = LocRib::new();
+        let empty = format!("{rib:?}");
+        let p = Prefix::v4(10, 0, 0, 0, 8);
+        let mut last = rib.generation();
+        let mut moved = |rib: &LocRib| {
+            let moved = rib.generation() != last;
+            last = rib.generation();
+            moved
+        };
+        rib.set_best(route(p, 0, 1));
+        assert!(moved(&rib), "set_best");
+        rib.remove(&p);
+        assert!(moved(&rib), "remove");
+        rib.set_best(route(p, 0, 2));
+        rib.clear();
+        assert!(moved(&rib), "clear");
+        assert_ne!(rib.generation(), 0, "clear must not restart the count");
+        assert!(rib.is_empty());
+        assert_eq!(format!("{rib:?}"), empty, "generation leaked into Debug");
     }
 
     #[test]

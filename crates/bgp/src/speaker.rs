@@ -24,10 +24,11 @@ use crate::message::{BgpMessage, Nlri, UpdateMessage};
 use crate::policy::Policy;
 use crate::provenance::{ExportVerdict, ImportVerdict, ProvenanceEvent, ProvenanceLog};
 use crate::rib::{AdjRibIn, AdjRibOut, AttrInterner, LocRib, PeerId, Route, RouteSource};
-use peering_netsim::{Asn, Prefix, SimDuration, SimRng, SimTime, TraceId};
+use peering_netsim::{Asn, Fnv1a, Prefix, SimDuration, SimRng, SimTime, TraceId};
 use peering_telemetry::Telemetry;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write as _;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -524,12 +525,69 @@ struct PeerState {
     pending: BTreeMap<Nlri, PendingDelta>,
     /// When the pending batch flushes; `None` when nothing is staged.
     mrai_deadline: Option<SimTime>,
+    /// The deadline this peer is filed under in the speaker's
+    /// [`DeadlineIndex`] (`SimTime::MAX`: not filed). Equals
+    /// [`deadline`](Self::deadline) whenever no speaker call is running.
+    armed: SimTime,
+}
+
+impl PeerState {
+    /// The earliest time any of this peer's timers needs service: the
+    /// session timers, the graceful-restart stale deadline and the MRAI
+    /// flush.
+    fn deadline(&self) -> SimTime {
+        let mut at = self.session.next_deadline();
+        if let Some(st) = &self.stale {
+            at = at.min(st.deadline);
+        }
+        if let Some(d) = self.mrai_deadline {
+            at = at.min(d);
+        }
+        at
+    }
+}
+
+/// Every peer with an armed timer, ordered by deadline, so that
+/// [`Speaker::next_deadline`] reads the first entry instead of scanning
+/// every peer. A peer is filed under [`PeerState::armed`] exactly while
+/// that is finite; each site that can move a peer's deadline calls
+/// [`rearm`](Self::rearm) for that peer right away.
+#[derive(Default)]
+struct DeadlineIndex(BTreeSet<(SimTime, PeerId)>);
+
+impl DeadlineIndex {
+    /// Re-file `id` under its current deadline.
+    fn rearm(&mut self, id: PeerId, state: &mut PeerState) {
+        let at = state.deadline();
+        if at == state.armed {
+            return;
+        }
+        self.disarm(id, state);
+        if at != SimTime::MAX {
+            self.0.insert((at, id));
+        }
+        state.armed = at;
+    }
+
+    /// Drop `id`'s entry (the peer is being removed or replaced).
+    fn disarm(&mut self, id: PeerId, state: &PeerState) {
+        if state.armed != SimTime::MAX {
+            self.0.remove(&(state.armed, id));
+        }
+    }
+
+    /// The earliest armed deadline.
+    fn first(&self) -> SimTime {
+        self.0.first().map_or(SimTime::MAX, |&(at, _)| at)
+    }
 }
 
 /// A complete BGP router.
 pub struct Speaker {
     cfg: SpeakerConfig,
     peers: BTreeMap<PeerId, PeerState>,
+    /// Armed peer timers by deadline.
+    deadlines: DeadlineIndex,
     /// Export peer-groups, keyed by [`ExportGroupKey`]. Every configured
     /// peer belongs to exactly one group; solo peers get a private one.
     groups: BTreeMap<ExportGroupKey, ExportGroup>,
@@ -568,6 +626,7 @@ impl Speaker {
         Speaker {
             cfg,
             peers: BTreeMap::new(),
+            deadlines: DeadlineIndex::default(),
             groups: BTreeMap::new(),
             loc_rib: LocRib::new(),
             local_routes: BTreeMap::new(),
@@ -744,6 +803,7 @@ impl Speaker {
         // membership before resolving the (possibly different) new one.
         if let Some(old) = self.peers.get(&cfg.id) {
             let old_key = old.group;
+            self.deadlines.disarm(cfg.id, old);
             self.detach_from_group(cfg.id, old_key);
         }
         let group = self.resolve_group(&cfg);
@@ -759,6 +819,8 @@ impl Speaker {
             max_prefix_warned: false,
             pending: BTreeMap::new(),
             mrai_deadline: None,
+            // A fresh session arms no timer until it is started.
+            armed: SimTime::MAX,
             cfg,
         };
         self.peers.insert(state.cfg.id, state);
@@ -769,6 +831,7 @@ impl Speaker {
         let Some(mut state) = self.peers.remove(&peer) else {
             return Vec::new();
         };
+        self.deadlines.disarm(peer, &state);
         self.detach_from_group(peer, state.group);
         let (msgs, _) = state.session.stop(now);
         let mut out: Vec<Output> = msgs.into_iter().map(|m| Output::Send(peer, m)).collect();
@@ -795,12 +858,9 @@ impl Speaker {
             ExportGrouping::Auto => {
                 // FNV-1a over the fingerprint's canonical debug form:
                 // deterministic across runs and platforms.
-                let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-                for b in format!("{fp:?}").bytes() {
-                    h ^= u64::from(b);
-                    h = h.wrapping_mul(0x1000_0000_01b3);
-                }
-                ExportGroupKey(h & !ExportGroupKey::SOLO_BIT)
+                let mut h = Fnv1a::legacy();
+                write!(h, "{fp:?}").expect("hashing cannot fail");
+                ExportGroupKey(h.finish() & !ExportGroupKey::SOLO_BIT)
             }
         };
         loop {
@@ -893,6 +953,7 @@ impl Speaker {
             .into_iter()
             .map(|m| Output::Send(peer, m))
             .collect();
+        self.deadlines.rearm(peer, state);
         self.session_started.insert(peer, now);
         let after = self.peers[&peer].session.state();
         self.note_fsm_transition(before, after);
@@ -906,6 +967,7 @@ impl Speaker {
         };
         let before = state.session.state();
         let (msgs, events) = state.session.stop(now);
+        self.deadlines.rearm(peer, state);
         let mut out: Vec<Output> = msgs.into_iter().map(|m| Output::Send(peer, m)).collect();
         for ev in events {
             out.extend(self.handle_session_event(peer, ev, now));
@@ -1006,6 +1068,7 @@ impl Speaker {
         };
         let before = state.session.state();
         let (msgs, events) = state.session.on_message(msg, now);
+        self.deadlines.rearm(from, state);
         let mut out: Vec<Output> = msgs.into_iter().map(|m| Output::Send(from, m)).collect();
         for ev in events {
             out.extend(self.handle_session_event(from, ev, now));
@@ -1028,6 +1091,7 @@ impl Speaker {
             let state = self.peers.get_mut(&id).expect("peer exists");
             let before = state.session.state();
             let (msgs, events) = state.session.tick(now);
+            self.deadlines.rearm(id, state);
             out.extend(msgs.into_iter().map(|m| Output::Send(id, m)));
             for ev in events {
                 out.extend(self.handle_session_event(id, ev, now));
@@ -1070,23 +1134,16 @@ impl Speaker {
         out
     }
 
-    /// The earliest time any session or graceful-restart timer needs
-    /// service.
+    /// The earliest time any session, graceful-restart or MRAI timer
+    /// needs service. `O(1)`: read from the deadline index, which debug
+    /// builds cross-check against a scan of every peer on each call.
     pub fn next_deadline(&self) -> SimTime {
-        self.peers
-            .values()
-            .map(|p| {
-                let mut s = p.session.next_deadline();
-                if let Some(st) = &p.stale {
-                    s = s.min(st.deadline);
-                }
-                if let Some(d) = p.mrai_deadline {
-                    s = s.min(d);
-                }
-                s
-            })
-            .min()
-            .unwrap_or(SimTime::MAX)
+        debug_assert_eq!(
+            self.check_deadline_index(),
+            Ok(()),
+            "deadline index out of sync"
+        );
+        self.deadlines.first()
     }
 
     fn handle_session_event(
@@ -1134,8 +1191,10 @@ impl Speaker {
                         }
                     }
                     state.stale = Some(StaleState { deadline, keys });
+                    self.deadlines.rearm(peer, state);
                     vec![Output::Event(SpeakerEvent::PeerDown(peer, reason))]
                 } else {
+                    self.deadlines.rearm(peer, state);
                     let affected = state.adj_in.clear();
                     let mut out = vec![Output::Event(SpeakerEvent::PeerDown(peer, reason))];
                     out.extend(self.reconsider(affected, now));
@@ -1342,6 +1401,7 @@ impl Speaker {
                     ceased = true;
                     state.suppressed.clear();
                     state.stale = None;
+                    self.deadlines.rearm(from, state);
                     state.max_prefix_warned = false;
                     self.telemetry.counter_inc("bgp.session.down");
                     for ev in sess_events {
@@ -1383,6 +1443,7 @@ impl Speaker {
         let Some(stale) = state.stale.take() else {
             return Vec::new();
         };
+        self.deadlines.rearm(peer, state);
         let mut affected = BTreeSet::new();
         for (prefix, path_id) in stale.keys {
             if state.adj_in.remove(&prefix, path_id).is_some() {
@@ -1406,6 +1467,7 @@ impl Speaker {
             return Vec::new();
         }
         let events = state.session.drop_connection(now);
+        self.deadlines.rearm(peer, state);
         let mut out = Vec::new();
         for ev in events {
             out.extend(self.handle_session_event(peer, ev, now));
@@ -1425,6 +1487,7 @@ impl Speaker {
             return Vec::new();
         };
         let (msgs, events) = state.session.on_corrupt(now);
+        self.deadlines.rearm(from, state);
         let mut out: Vec<Output> = msgs.into_iter().map(|m| Output::Send(from, m)).collect();
         for ev in events {
             out.extend(self.handle_session_event(from, ev, now));
@@ -1456,6 +1519,7 @@ impl Speaker {
             self.telemetry.counter_inc("bgp.session.treat_as_withdraw");
         }
         let (msgs, events) = state.session.on_malformed_update(update, now);
+        self.deadlines.rearm(from, state);
         let mut out: Vec<Output> = msgs.into_iter().map(|m| Output::Send(from, m)).collect();
         for ev in events {
             out.extend(self.handle_session_event(from, ev, now));
@@ -1739,13 +1803,14 @@ impl Speaker {
             state.damping = DampingState::new();
             state.stale = None;
             state.max_prefix_warned = false;
+            self.deadlines.rearm(*id, state);
         }
         // No peer is synced any more, so no group base represents sent
         // state: clear them all.
         for group in self.groups.values_mut() {
             let _ = group.base.clear();
         }
-        self.loc_rib = LocRib::new();
+        self.loc_rib.clear();
         let locals: Vec<Prefix> = self.local_routes.keys().copied().collect();
         out.extend(self.reconsider(locals, now));
         debug_assert_eq!(
@@ -2251,6 +2316,7 @@ impl Speaker {
                 // existing deadline so a busy peer still flushes.
                 if state.mrai_deadline.is_none() {
                     state.mrai_deadline = Some(now + interval);
+                    self.deadlines.rearm(id, state);
                 }
                 Vec::new()
             }
@@ -2270,6 +2336,7 @@ impl Speaker {
             return Vec::new();
         };
         state.mrai_deadline = None;
+        self.deadlines.rearm(id, state);
         if state.pending.is_empty() {
             return Vec::new();
         }
@@ -2623,6 +2690,7 @@ impl Speaker {
                 ));
             }
         }
+        self.check_deadline_index()?;
         self.loc_rib.check_invariants()?;
         // Every Loc-RIB best must trace back to a live candidate: either a
         // locally originated route or a path still present in the learning
@@ -2648,6 +2716,45 @@ impl Speaker {
                     ));
                 }
             }
+        }
+        Ok(())
+    }
+
+    /// The deadline index's oracle: every peer is filed under its current
+    /// deadline, nothing else is filed, and the index's first entry is
+    /// what a scan of every peer finds.
+    fn check_deadline_index(&self) -> Result<(), String> {
+        let mut scan = SimTime::MAX;
+        let mut armed = 0;
+        for (id, state) in &self.peers {
+            let at = state.deadline();
+            if state.armed != at {
+                return Err(format!(
+                    "peer {id:?} filed under {:?} but its deadline is {at:?}",
+                    state.armed
+                ));
+            }
+            if at != SimTime::MAX {
+                armed += 1;
+                if !self.deadlines.0.contains(&(at, *id)) {
+                    return Err(format!(
+                        "peer {id:?} deadline {at:?} missing from the index"
+                    ));
+                }
+            }
+            scan = scan.min(at);
+        }
+        if self.deadlines.0.len() != armed {
+            return Err(format!(
+                "deadline index holds {} entries for {armed} armed peers",
+                self.deadlines.0.len()
+            ));
+        }
+        if self.deadlines.first() != scan {
+            return Err(format!(
+                "deadline index reports {:?}, a scan of every peer finds {scan:?}",
+                self.deadlines.first()
+            ));
         }
         Ok(())
     }
@@ -3719,5 +3826,225 @@ mod tests {
             1,
             "no WithdrawSent for the superseded staged withdraw"
         );
+    }
+
+    #[test]
+    fn readding_a_live_peer_drops_its_armed_deadline() {
+        let mut s = Speaker::new(
+            SpeakerConfig::new(Asn(1), Ipv4Addr::new(10, 0, 0, 1))
+                .with_connect_retry(crate::fsm::ConnectRetryConfig::new(3)),
+        );
+        s.add_peer(PeerConfig::new(PeerId(0), Asn(2)));
+        s.start_peer(PeerId(0), SimTime::ZERO);
+        assert_ne!(s.next_deadline(), SimTime::MAX, "ConnectRetry armed");
+        // The replacement session is Idle: nothing may stay armed.
+        s.add_peer(PeerConfig::new(PeerId(0), Asn(2)));
+        assert_eq!(s.next_deadline(), SimTime::MAX);
+        assert_eq!(scanned_deadline(&s), SimTime::MAX);
+        assert_eq!(s.check_invariants(), Ok(()));
+    }
+
+    /// One step of the deadline-index property test.
+    #[derive(Debug, Clone)]
+    enum TimerOp {
+        /// Deliver the in-flight message at this index (mod the count).
+        Deliver(usize),
+        /// Deliver everything in flight, replies included, oldest first.
+        Flush,
+        /// Advance the clock by this many ms, then tick speaker `.0`.
+        Tick(usize, u64),
+        Start(usize, usize),
+        Stop(usize, usize),
+        Reset(usize, usize),
+        Remove(usize, usize),
+        ReAdd(usize, usize),
+        Corrupt(usize, usize),
+        Malformed(usize, usize),
+        Restart(usize),
+        Originate(usize, u8),
+        Withdraw(usize, u8),
+    }
+
+    fn timer_op() -> impl proptest::strategy::Strategy<Value = TimerOp> {
+        use proptest::prelude::*;
+        let sp = || 0usize..3;
+        prop_oneof![
+            8 => any::<usize>().prop_map(TimerOp::Deliver),
+            3 => Just(TimerOp::Flush),
+            4 => (sp(), 0u64..8_000).prop_map(|(s, ms)| TimerOp::Tick(s, ms)),
+            1 => (sp(), 0u64..150_000).prop_map(|(s, ms)| TimerOp::Tick(s, ms)),
+            1 => (sp(), sp()).prop_map(|(s, p)| TimerOp::Start(s, p)),
+            1 => (sp(), sp()).prop_map(|(s, p)| TimerOp::Stop(s, p)),
+            1 => (sp(), sp()).prop_map(|(s, p)| TimerOp::Reset(s, p)),
+            1 => (sp(), sp()).prop_map(|(s, p)| TimerOp::Remove(s, p)),
+            1 => (sp(), sp()).prop_map(|(s, p)| TimerOp::ReAdd(s, p)),
+            1 => (sp(), sp()).prop_map(|(s, p)| TimerOp::Corrupt(s, p)),
+            1 => (sp(), sp()).prop_map(|(s, p)| TimerOp::Malformed(s, p)),
+            1 => sp().prop_map(TimerOp::Restart),
+            2 => (sp(), 0u8..6).prop_map(|(s, k)| TimerOp::Originate(s, k)),
+            1 => (sp(), 0u8..6).prop_map(|(s, k)| TimerOp::Withdraw(s, k)),
+        ]
+    }
+
+    /// The session config speaker `s` uses for speaker `p` (peer id
+    /// `p`). Graceful restart runs on the 0–1 and 1–2 sessions but not
+    /// 0–2, and speaker 0 caps what it accepts below what the others
+    /// originate between them.
+    fn timer_peer(s: usize, p: usize) -> PeerConfig {
+        let mut cfg = PeerConfig::new(PeerId(p as u32), Asn(p as u32 + 1));
+        if (s + p) % 2 == 1 {
+            cfg = cfg.graceful_restart(SimDuration::from_secs(60));
+        }
+        if s == 0 {
+            cfg =
+                cfg.with_max_prefix(MaxPrefixConfig::new(4).idle_hold(SimDuration::from_secs(30)));
+        }
+        if s > p {
+            cfg = cfg.passive();
+        }
+        cfg
+    }
+
+    /// The pre-index `next_deadline`: a scan of every peer's session,
+    /// stale and MRAI deadlines.
+    fn scanned_deadline(s: &Speaker) -> SimTime {
+        let mut at = SimTime::MAX;
+        for p in s.peers.values() {
+            at = at.min(p.session.next_deadline());
+            if let Some(st) = &p.stale {
+                at = at.min(st.deadline);
+            }
+            if let Some(d) = p.mrai_deadline {
+                at = at.min(d);
+            }
+        }
+        at
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn deadline_index_matches_a_full_scan(
+            ops in proptest::collection::vec(timer_op(), 1..80)
+        ) {
+            let mut speakers: Vec<Speaker> = (0..3usize)
+                .map(|i| {
+                    let mut cfg = SpeakerConfig::new(
+                        Asn(i as u32 + 1),
+                        Ipv4Addr::new(10, 0, 0, i as u8 + 1),
+                    )
+                    .with_mrai(SimDuration::from_secs(5))
+                    .with_connect_retry(crate::fsm::ConnectRetryConfig::new(i as u64 + 7));
+                    cfg.hold_time = SimDuration::from_secs(30);
+                    Speaker::new(cfg)
+                })
+                .collect();
+            for (s, sp) in speakers.iter_mut().enumerate() {
+                for p in (0..3).filter(|&p| p != s) {
+                    sp.add_peer(timer_peer(s, p));
+                }
+            }
+            let prefix = |s: usize, k: u8| Prefix::v4(10, 20, s as u8 * 8 + k, 0, 24);
+            // In-flight messages: (to speaker, on its peer id, message).
+            let mut wire: Vec<(usize, PeerId, BgpMessage)> = Vec::new();
+            let mut now = SimTime::ZERO;
+            let opening = (0..3).flat_map(|s| {
+                (0..3)
+                    .map(move |p| TimerOp::Start(s, p))
+                    .chain((0..3).map(move |k| TimerOp::Originate(s, k)))
+            });
+            for op in opening.chain(ops) {
+                let mut outs: Vec<(usize, Vec<Output>)> = Vec::new();
+                match op {
+                    TimerOp::Deliver(k) => {
+                        if !wire.is_empty() {
+                            let (to, pid, msg) = wire.remove(k % wire.len());
+                            outs.push((to, speakers[to].on_message(pid, msg, now)));
+                        }
+                    }
+                    TimerOp::Flush => {
+                        let mut budget = 500;
+                        while !wire.is_empty() && budget > 0 {
+                            budget -= 1;
+                            let (to, pid, msg) = wire.remove(0);
+                            let sent = speakers[to].on_message(pid, msg, now);
+                            for o in sent {
+                                if let Output::Send(p, m) = o {
+                                    wire.push((p.0 as usize, PeerId(to as u32), m));
+                                }
+                            }
+                        }
+                    }
+                    TimerOp::Tick(s, ms) => {
+                        now += SimDuration::from_millis(ms);
+                        outs.push((s, speakers[s].tick(now)));
+                    }
+                    TimerOp::Start(s, p) => {
+                        outs.push((s, speakers[s].start_peer(PeerId(p as u32), now)))
+                    }
+                    TimerOp::Stop(s, p) => {
+                        outs.push((s, speakers[s].stop_peer(PeerId(p as u32), now)))
+                    }
+                    TimerOp::Reset(s, p) => {
+                        outs.push((s, speakers[s].reset_peer(PeerId(p as u32), now)))
+                    }
+                    TimerOp::Remove(s, p) => {
+                        outs.push((s, speakers[s].remove_peer(PeerId(p as u32), now)))
+                    }
+                    TimerOp::ReAdd(s, p) => {
+                        // Only a removed peer comes back: `add_peer` over a
+                        // live peer drops its Adj-RIB-In without a
+                        // re-decision, which is a separate open defect.
+                        if s != p && speakers[s].peer_asn(PeerId(p as u32)).is_none() {
+                            speakers[s].add_peer(timer_peer(s, p));
+                        }
+                    }
+                    TimerOp::Corrupt(s, p) => {
+                        outs.push((s, speakers[s].on_corrupt_message(PeerId(p as u32), now)))
+                    }
+                    TimerOp::Malformed(s, p) => {
+                        let attrs = Arc::new(PathAttributes {
+                            as_path: AsPath::from_asns(&[Asn(p as u32 + 1)]),
+                            ..Default::default()
+                        });
+                        let update =
+                            UpdateMessage::announce(attrs, vec![Nlri::plain(prefix(p, 0))]);
+                        let sent = speakers[s].on_malformed_update(PeerId(p as u32), update, now);
+                        outs.push((s, sent))
+                    }
+                    TimerOp::Restart(s) => outs.push((s, speakers[s].restart(now))),
+                    TimerOp::Originate(s, k) => {
+                        outs.push((s, speakers[s].originate(prefix(s, k), now)))
+                    }
+                    TimerOp::Withdraw(s, k) => {
+                        outs.push((s, speakers[s].withdraw_origin(prefix(s, k), now)))
+                    }
+                }
+                for (from, sent) in outs {
+                    for o in sent {
+                        if let Output::Send(pid, msg) = o {
+                            wire.push((pid.0 as usize, PeerId(from as u32), msg));
+                        }
+                    }
+                }
+                for (i, sp) in speakers.iter().enumerate() {
+                    proptest::prop_assert_eq!(
+                        sp.next_deadline(),
+                        scanned_deadline(sp),
+                        "speaker {} after {:?}",
+                        i,
+                        op
+                    );
+                    proptest::prop_assert_eq!(
+                        sp.check_invariants(),
+                        Ok(()),
+                        "speaker {} after {:?}",
+                        i,
+                        op
+                    );
+                }
+            }
+        }
     }
 }

@@ -20,9 +20,10 @@
 
 use crate::alloc::PrefixAllocator;
 use crate::experiment::{AnnouncementSpec, Experiment, ExperimentId};
-use peering_netsim::{Ipv4Net, SimTime};
+use peering_netsim::{Fnv1a, Ipv4Net, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write as _;
 
 /// One client experiment in a migration deployment.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -244,14 +245,9 @@ impl ConfigState {
     /// platforms; used for search memoization and for the per-step
     /// digests pinned into certified migration plans.
     pub fn digest(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x1000_0000_01b3;
-        let mut hash = FNV_OFFSET;
-        for byte in format!("{self:?}").bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(FNV_PRIME);
-        }
-        hash
+        let mut hash = Fnv1a::legacy();
+        write!(hash, "{self:?}").expect("hashing cannot fail");
+        hash.finish()
     }
 }
 

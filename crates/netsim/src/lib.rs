@@ -18,13 +18,15 @@
 //! * a typed message network ([`MsgNet`]) that delivers messages between
 //!   simulated nodes in timestamp order, used to carry BGP messages between
 //!   speakers;
-//! * scripted fault injection ([`FaultPlan`]) and a bounded [`TraceLog`].
+//! * scripted fault injection ([`FaultPlan`]) and a bounded [`TraceLog`];
+//! * [`Fnv1a`], the stable byte hash every digest is built on.
 //!
 //! Everything is synchronous and deterministic: there are no threads, no
 //! sockets, and no wall-clock reads anywhere in the simulation core.
 
 pub mod engine;
 pub mod fault;
+pub mod fnv;
 pub mod ip;
 pub mod link;
 pub mod net;
@@ -42,6 +44,7 @@ pub use engine::{
     EngineRun, EpochBarrier, Outbox, SimEvent,
 };
 pub use fault::{FaultAction, FaultPlan};
+pub use fnv::Fnv1a;
 pub use ip::{ForwardingTable, IpPacket, IpProto, Payload};
 pub use link::{Link, LinkParams};
 pub use net::{Asn, Ipv4Net, Ipv6Net, Prefix, PrefixParseError};

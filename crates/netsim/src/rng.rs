@@ -7,6 +7,7 @@
 //! a requirement for reproducible experiments and for meaningful A/B
 //! comparisons between testbed configurations.
 
+use crate::fnv::Fnv1a;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -16,16 +17,6 @@ use rand::{Rng, SeedableRng};
 pub struct SimRng {
     inner: SmallRng,
     seed: u64,
-}
-
-/// FNV-1a hash, used to mix fork labels into seeds without external deps.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 impl SimRng {
@@ -48,7 +39,7 @@ impl SimRng {
     /// randomness from `self`, so the order in which subsystems fork does
     /// not matter.
     pub fn fork(&self, label: &str) -> SimRng {
-        let child = self.seed ^ fnv1a(label.as_bytes()).rotate_left(17);
+        let child = self.seed ^ Fnv1a::hash(label.as_bytes()).rotate_left(17);
         SimRng::new(child.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1))
     }
 

@@ -12,10 +12,14 @@
 //! reshuffles *when* routes arrive, and the decision process is
 //! age-independent, so converged content must not depend on timing.
 
-use peering_bgp::{Asn, ConnectRetryConfig, PeerConfig, PeerId, Prefix, Speaker, SpeakerConfig};
+use peering_bgp::{
+    Asn, ConnectRetryConfig, PeerConfig, PeerId, Prefix, Route, Speaker, SpeakerConfig,
+};
 use peering_collector::Collector;
 use peering_emulation::{Container, Emulation};
-use peering_netsim::{FaultAction, FaultPlan, LinkParams, NodeId, SimDuration, SimRng, SimTime};
+use peering_netsim::{
+    FaultAction, FaultPlan, Fnv1a, LinkParams, NodeId, SimDuration, SimRng, SimTime,
+};
 use peering_telemetry::Telemetry;
 use std::net::Ipv4Addr;
 
@@ -195,38 +199,36 @@ pub fn chaos_plan(topology: &ChaosTopology, seed: u64) -> FaultPlan {
 /// arrival timing: routes are canonicalized **without** `learned_at`,
 /// sorted per container, then hashed container by container.
 pub fn rib_digest(emu: &Emulation) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x1000_0000_01b3;
-    let mut hash = FNV_OFFSET;
-    let mut mix = |s: &str| {
-        for byte in s.bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(FNV_PRIME);
-        }
-    };
+    let mut hash = Fnv1a::legacy();
     for idx in 0..emu.container_count() {
         let Some(d) = emu.daemon(idx) else {
-            mix(&format!("node {idx}: crashed;"));
+            hash.write_str(&format!("node {idx}: crashed;"));
             continue;
         };
-        let mut lines: Vec<String> = d
-            .loc_rib()
-            .iter()
-            .map(|r| {
-                format!(
-                    "{:?} peer={:?} path_id={} source={:?} igp={} attrs={:?}",
-                    r.prefix, r.peer, r.path_id, r.source, r.igp_cost, r.attrs
-                )
-            })
-            .collect();
-        lines.sort();
-        mix(&format!("node {idx}:"));
-        for line in &lines {
-            mix(line);
-            mix(";");
-        }
+        hash.write_str(&format!("node {idx}:"));
+        mix_routes(&mut hash, d.loc_rib().iter());
     }
-    hash
+    hash.finish()
+}
+
+/// Mix `routes` into `hash` in the canonical form every RIB digest
+/// shares: one line per route with `learned_at` excluded (so arrival
+/// timing cannot alias as route damage), lines sorted, each followed by
+/// `;`.
+pub(crate) fn mix_routes<'a>(hash: &mut Fnv1a, routes: impl Iterator<Item = &'a Route>) {
+    let mut lines: Vec<String> = routes
+        .map(|r| {
+            format!(
+                "{:?} peer={:?} path_id={} source={:?} igp={} attrs={:?}",
+                r.prefix, r.peer, r.path_id, r.source, r.igp_cost, r.attrs
+            )
+        })
+        .collect();
+    lines.sort();
+    for line in &lines {
+        hash.write_str(line);
+        hash.write_str(";");
+    }
 }
 
 /// The outcome of one seeded chaos run against one topology.

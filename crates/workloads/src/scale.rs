@@ -20,16 +20,17 @@
 //!   a handful of beacon origins, which is how the full 2014-scale
 //!   preset (~47k ASes) converges inside the scale bench.
 
-use crate::chaos::{origin_prefix, ChaosTopology};
+use crate::chaos::{mix_routes, origin_prefix, ChaosTopology};
 use peering_bgp::{
-    Action, Asn, BgpMessage, Community, Match, Output, PeerConfig, PeerId, Policy, Prefix, Speaker,
-    SpeakerConfig,
+    Action, Asn, BgpMessage, Community, LocRib, Match, Output, PeerConfig, PeerId, Policy, Prefix,
+    Speaker, SpeakerConfig,
 };
 use peering_netsim::{
     run_parallel, run_parallel_profiled, run_sequential, run_sequential_profiled, EngineNode,
-    EngineProfile, EngineRun, NodeId, Outbox, ProfileConfig, SimDuration, SimTime,
+    EngineProfile, EngineRun, Fnv1a, NodeId, Outbox, ProfileConfig, SimDuration, SimTime,
 };
 use peering_topology::{AsIdx, Internet, Relationship};
+use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
@@ -240,6 +241,7 @@ impl ScaleTopo {
             links,
             origins: spec.origins.clone(),
             ticks: BTreeSet::new(),
+            digest_memo: Cell::new(None),
         }
     }
 
@@ -379,8 +381,7 @@ struct Link {
 /// A [`Speaker`] adapted to [`EngineNode`]: messages route over links,
 /// timer deadlines become self-scheduled [`ScaleMsg::Tick`]s, and the
 /// digest is an FNV-1a hash of the canonicalized Loc-RIB (same line
-/// format as [`crate::chaos::rib_digest`], minus `learned_at`-free
-/// fields it already excludes).
+/// format as [`crate::chaos::rib_digest`]).
 struct BgpNode {
     me: NodeId,
     speaker: Speaker,
@@ -389,6 +390,11 @@ struct BgpNode {
     origins: Vec<Prefix>,
     /// Tick self-messages already in flight, by absolute fire time.
     ticks: BTreeSet<SimTime>,
+    /// The last digest computed, with the [`LocRib::generation`] it was
+    /// computed at. Every Loc-RIB mutation moves the generation, so an
+    /// equal generation means an unchanged table and the digest is
+    /// reused instead of re-formatting every route at each checkpoint.
+    digest_memo: Cell<Option<(u64, u64)>>,
 }
 
 impl BgpNode {
@@ -457,33 +463,31 @@ impl EngineNode for BgpNode {
     }
 
     fn digest(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x1000_0000_01b3;
-        let mut hash = FNV_OFFSET;
-        let mut mix = |s: &str| {
-            for byte in s.bytes() {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(FNV_PRIME);
+        let loc_rib = self.speaker.loc_rib();
+        let generation = loc_rib.generation();
+        if let Some((cached_at, digest)) = self.digest_memo.get() {
+            if cached_at == generation {
+                debug_assert_eq!(
+                    digest,
+                    loc_rib_digest(loc_rib),
+                    "node {:?}: digest memo hit disagrees with a fresh digest",
+                    self.me
+                );
+                return digest;
             }
-        };
-        let mut lines: Vec<String> = self
-            .speaker
-            .loc_rib()
-            .iter()
-            .map(|r| {
-                format!(
-                    "{:?} peer={:?} path_id={} source={:?} igp={} attrs={:?}",
-                    r.prefix, r.peer, r.path_id, r.source, r.igp_cost, r.attrs
-                )
-            })
-            .collect();
-        lines.sort();
-        for line in &lines {
-            mix(line);
-            mix(";");
         }
-        hash
+        let digest = loc_rib_digest(loc_rib);
+        self.digest_memo.set(Some((generation, digest)));
+        digest
     }
+}
+
+/// FNV-1a over the canonicalized Loc-RIB (the chaos campaign's line
+/// format, see [`mix_routes`]).
+fn loc_rib_digest(loc_rib: &LocRib) -> u64 {
+    let mut hash = Fnv1a::legacy();
+    mix_routes(&mut hash, loc_rib.iter());
+    hash.finish()
 }
 
 /// Convenience: evenly spaced checkpoints across `[0, horizon]`.

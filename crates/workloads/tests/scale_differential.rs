@@ -69,6 +69,45 @@ fn eval_scale_matrix_matches_sequential() {
 }
 
 #[test]
+fn mid_convergence_checkpoints_match_across_engines() {
+    // The matrix above checkpoints after quiescence, where every
+    // checkpoint digest equals the final one, so a node digest memo that
+    // never invalidated would pass it. These checkpoints fall inside
+    // convergence: at k/N of the reference run's quiescence time, offset
+    // by an odd number of microseconds so none coincides with an event
+    // (link delays are multiples of 250 µs). Each one must agree across
+    // engines, and at least one must differ from the final digest.
+    const N: u64 = 5;
+    let cases = [
+        ("internet-small-1", InternetConfig::small(1), 6),
+        ("internet-eval-1", InternetConfig::eval(1), 2),
+    ];
+    for (name, cfg, beacons) in cases {
+        let topo = ScaleTopo::from_internet(&Internet::build(cfg), beacons);
+        let end = topo.run_engine_sequential(&[], SimTime::MAX).end_time;
+        let cks: Vec<SimTime> = (1..N)
+            .map(|k| SimTime::from_micros(end.as_micros() * k / N + 2 * k + 1))
+            .collect();
+        let (reference, verdicts) = differential(&topo, &[2, 4], &cks, SimTime::MAX);
+        assert_eq!(
+            reference.end_time, end,
+            "{name}: checkpoints moved quiescence"
+        );
+        assert_eq!(reference.checkpoints.len(), cks.len());
+        for (shards, ok) in verdicts {
+            assert!(ok, "{name}: {shards}-shard run diverged mid-convergence");
+        }
+        assert!(
+            reference
+                .checkpoints
+                .iter()
+                .any(|&(_, d)| d != reference.final_digest),
+            "{name}: every mid-convergence checkpoint equals the final digest"
+        );
+    }
+}
+
+#[test]
 fn internet_matrix_with_mrai_matches_sequential() {
     // MRAI packing introduces per-peer batch timers — exactly the kind
     // of node-local deadline that could diverge under sharding if tick
