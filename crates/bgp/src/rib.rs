@@ -10,6 +10,7 @@
 use crate::attrs::PathAttributes;
 use peering_netsim::{Prefix, PrefixTrie, SimTime, TraceId};
 use serde::{Deserialize, Serialize};
+use std::collections::btree_map::Entry;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -111,14 +112,20 @@ impl Route {
 /// One peer's Adj-RIB (used for both In and Out directions): the set of
 /// routes exchanged with that peer, keyed by prefix and ADD-PATH id.
 ///
-/// Both levels are `BTreeMap` so every iteration surface
-/// ([`iter`](Self::iter), [`prefixes`](Self::prefixes),
-/// [`clear`](Self::clear)) yields prefix-then-path-id order — a
-/// determinism-contract requirement (`nd-hash-iter`): Adj-RIB walks
-/// feed digests, MRT dumps, and the decision process.
+/// Each prefix holds one path vector sorted by ascending `path_id` with
+/// no duplicate ids, so every iteration surface ([`iter`](Self::iter),
+/// [`prefixes`](Self::prefixes), [`clear`](Self::clear)) yields
+/// prefix-then-path-id order — a determinism-contract requirement
+/// (`nd-hash-iter`): Adj-RIB walks feed digests, MRT dumps, and the
+/// decision process.
+///
+/// A vector rather than a nested map because almost every prefix holds a
+/// single path: a one-slot vector costs one route, where a private
+/// `BTreeMap` leaf reserves eleven (DESIGN.md §14, "RIB memory layout").
+/// Single-path vectors are therefore kept at exact capacity.
 #[derive(Debug, Clone, Default)]
 pub struct AdjRib {
-    routes: BTreeMap<Prefix, BTreeMap<u32, Route>>,
+    routes: BTreeMap<Prefix, Vec<Route>>,
     entries: usize,
 }
 
@@ -126,6 +133,12 @@ pub struct AdjRib {
 pub type AdjRibIn = AdjRib;
 /// Adj-RIB-Out: routes advertised to a peer, after export policy.
 pub type AdjRibOut = AdjRib;
+
+/// Where `path_id` sits in a path vector sorted by id: `Ok` at a match,
+/// `Err` at the slot that keeps the vector sorted.
+fn find_path(paths: &[Route], path_id: u32) -> Result<usize, usize> {
+    paths.binary_search_by_key(&path_id, |r| r.path_id)
+}
 
 impl AdjRib {
     /// Create an empty table.
@@ -135,54 +148,62 @@ impl AdjRib {
 
     /// Insert or replace a route (keyed by `prefix` + `path_id`).
     pub fn insert(&mut self, route: Route) -> Option<Route> {
-        let old = self
-            .routes
-            .entry(route.prefix)
-            .or_default()
-            .insert(route.path_id, route);
-        if old.is_none() {
-            self.entries += 1;
+        let paths = match self.routes.entry(route.prefix) {
+            Entry::Vacant(e) => {
+                // `vec!` allocates exactly one slot; a first `push` would
+                // reserve four.
+                e.insert(vec![route]);
+                self.entries += 1;
+                return None;
+            }
+            Entry::Occupied(e) => e.into_mut(),
+        };
+        match find_path(paths, route.path_id) {
+            Ok(i) => Some(std::mem::replace(&mut paths[i], route)),
+            Err(i) => {
+                paths.insert(i, route);
+                self.entries += 1;
+                None
+            }
         }
-        old
     }
 
     /// Remove one path for a prefix.
     pub fn remove(&mut self, prefix: &Prefix, path_id: u32) -> Option<Route> {
         let paths = self.routes.get_mut(prefix)?;
-        let old = paths.remove(&path_id);
-        if old.is_some() {
-            self.entries -= 1;
-            if paths.is_empty() {
-                self.routes.remove(prefix);
-            }
+        let i = find_path(paths, path_id).ok()?;
+        let old = paths.remove(i);
+        self.entries -= 1;
+        if paths.is_empty() {
+            self.routes.remove(prefix);
         }
-        old
+        Some(old)
     }
 
     /// Remove every path for a prefix (plain withdraw).
     pub fn remove_prefix(&mut self, prefix: &Prefix) -> Vec<Route> {
-        match self.routes.remove(prefix) {
-            Some(paths) => {
-                self.entries -= paths.len();
-                paths.into_values().collect()
-            }
-            None => Vec::new(),
-        }
+        let paths = self.routes.remove(prefix).unwrap_or_default();
+        self.entries -= paths.len();
+        paths
     }
 
     /// All paths currently held for a prefix.
     pub fn paths(&self, prefix: &Prefix) -> impl Iterator<Item = &Route> {
-        self.routes.get(prefix).into_iter().flat_map(|m| m.values())
+        self.routes
+            .get(prefix)
+            .map_or(&[][..], Vec::as_slice)
+            .iter()
     }
 
     /// A specific path.
     pub fn get(&self, prefix: &Prefix, path_id: u32) -> Option<&Route> {
-        self.routes.get(prefix)?.get(&path_id)
+        let paths = self.routes.get(prefix)?;
+        find_path(paths, path_id).ok().map(|i| &paths[i])
     }
 
     /// All `(prefix, route)` entries.
     pub fn iter(&self) -> impl Iterator<Item = &Route> {
-        self.routes.values().flat_map(|m| m.values())
+        self.routes.values().flatten()
     }
 
     /// Distinct prefixes present.
@@ -207,21 +228,32 @@ impl AdjRib {
 
     /// Replace every path held for `prefix` with `routes` in one step.
     /// The peer-group export engine uses this to commit a staged export
-    /// computation into the group's shared Adj-RIB-Out base.
-    pub fn set_prefix(&mut self, prefix: &Prefix, routes: Vec<Route>) {
+    /// computation into the group's shared Adj-RIB-Out base. Of two
+    /// routes with the same path id, the later one wins.
+    pub fn set_prefix(&mut self, prefix: &Prefix, mut routes: Vec<Route>) {
         if let Some(old) = self.routes.remove(prefix) {
             self.entries -= old.len();
         }
         if routes.is_empty() {
             return;
         }
-        let mut paths: BTreeMap<u32, Route> = BTreeMap::new();
-        for route in routes {
-            debug_assert_eq!(route.prefix, *prefix, "route committed under wrong prefix");
-            paths.insert(route.path_id, route);
-        }
-        self.entries += paths.len();
-        self.routes.insert(*prefix, paths);
+        debug_assert!(
+            routes.iter().all(|r| r.prefix == *prefix),
+            "route committed under wrong prefix"
+        );
+        // Stable, so duplicates keep their input order; `dedup_by` hands
+        // the later one first and moves it into the kept slot.
+        routes.sort_by_key(|r| r.path_id);
+        routes.dedup_by(|later, kept| {
+            let dup = later.path_id == kept.path_id;
+            if dup {
+                std::mem::swap(later, kept);
+            }
+            dup
+        });
+        routes.shrink_to_fit();
+        self.entries += routes.len();
+        self.routes.insert(*prefix, routes);
     }
 
     /// Drop everything, returning the affected prefixes (for re-decision).
@@ -239,23 +271,23 @@ impl AdjRib {
         let mut counted = 0;
         for (prefix, paths) in &self.routes {
             if paths.is_empty() {
-                return Err(format!("empty path map retained for {prefix}"));
+                return Err(format!("empty path vector retained for {prefix}"));
             }
-            for (path_id, route) in paths {
+            for route in paths {
                 if route.prefix != *prefix {
                     return Err(format!(
                         "route keyed under {prefix} carries prefix {}",
                         route.prefix
                     ));
                 }
-                if route.path_id != *path_id {
-                    return Err(format!(
-                        "route keyed under path id {path_id} carries id {}",
-                        route.path_id
-                    ));
-                }
-                counted += 1;
             }
+            if let Some(w) = paths.windows(2).find(|w| w[0].path_id >= w[1].path_id) {
+                return Err(format!(
+                    "paths for {prefix} out of order: path id {} before {}",
+                    w[0].path_id, w[1].path_id
+                ));
+            }
+            counted += paths.len();
         }
         if counted != self.entries {
             return Err(format!(
@@ -702,6 +734,195 @@ mod tests {
         let mut loc = LocRib::new();
         loc.set_best(route(p, 0, 1));
         loc.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn single_path_prefixes_hold_exactly_one_slot() {
+        let mut rib = AdjRib::new();
+        let p = Prefix::v4(10, 0, 0, 0, 8);
+        let q = Prefix::v4(20, 0, 0, 0, 8);
+        rib.insert(route(p, 0, 1));
+        assert_eq!(rib.routes[&p].capacity(), 1, "insert");
+        // A staged export collects through `filter_map`, which reserves
+        // spare slots; the committed vector must not keep them.
+        let mut staged = Vec::with_capacity(8);
+        staged.push(route(q, 0, 1));
+        rib.set_prefix(&q, staged);
+        assert_eq!(rib.routes[&q].capacity(), 1, "set_prefix");
+        rib.set_prefix(&q, vec![route(q, 0, 2), route(q, 0, 3)]);
+        assert_eq!(rib.routes[&q].capacity(), 1, "set_prefix over a duplicate");
+    }
+
+    #[test]
+    fn set_prefix_sorts_by_path_id_and_the_later_duplicate_wins() {
+        let mut rib = AdjRib::new();
+        let p = Prefix::v4(10, 0, 0, 0, 8);
+        rib.set_prefix(
+            &p,
+            vec![
+                route(p, 3, 30),
+                route(p, 1, 10),
+                route(p, 3, 31),
+                route(p, 2, 20),
+                route(p, 1, 11),
+                route(p, 3, 32),
+            ],
+        );
+        let got: Vec<(u32, Option<Asn>)> = rib
+            .paths(&p)
+            .map(|r| (r.path_id, r.attrs.as_path.first_as()))
+            .collect();
+        assert_eq!(
+            got,
+            vec![(1, Some(Asn(11))), (2, Some(Asn(20))), (3, Some(Asn(32)))]
+        );
+        assert_eq!(rib.len(), 3);
+        rib.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn invariants_reject_unordered_or_duplicated_path_ids() {
+        let p = Prefix::v4(10, 0, 0, 0, 8);
+        for ids in [[2, 1], [1, 1]] {
+            let mut rib = AdjRib::new();
+            rib.routes
+                .insert(p, ids.iter().map(|&id| route(p, id, 1)).collect());
+            rib.entries = 2;
+            let err = rib.check_invariants().unwrap_err();
+            assert!(err.contains("out of order"), "{ids:?}: {err}");
+        }
+    }
+
+    /// The pre-vector Adj-RIB layout, kept as the reference model for the
+    /// property test below: one `BTreeMap` of paths per prefix.
+    #[derive(Default)]
+    struct NestedRib(BTreeMap<Prefix, BTreeMap<u32, Route>>);
+
+    impl NestedRib {
+        fn insert(&mut self, route: Route) -> Option<Route> {
+            self.0
+                .entry(route.prefix)
+                .or_default()
+                .insert(route.path_id, route)
+        }
+
+        fn remove(&mut self, prefix: &Prefix, path_id: u32) -> Option<Route> {
+            let paths = self.0.get_mut(prefix)?;
+            let old = paths.remove(&path_id);
+            if paths.is_empty() {
+                self.0.remove(prefix);
+            }
+            old
+        }
+
+        fn remove_prefix(&mut self, prefix: &Prefix) -> Vec<Route> {
+            self.0
+                .remove(prefix)
+                .map(|paths| paths.into_values().collect())
+                .unwrap_or_default()
+        }
+
+        fn set_prefix(&mut self, prefix: &Prefix, routes: Vec<Route>) {
+            self.0.remove(prefix);
+            if !routes.is_empty() {
+                let paths = routes.into_iter().map(|r| (r.path_id, r)).collect();
+                self.0.insert(*prefix, paths);
+            }
+        }
+
+        fn clear(&mut self) -> Vec<Prefix> {
+            let prefixes = self.0.keys().copied().collect();
+            self.0.clear();
+            prefixes
+        }
+    }
+
+    /// One step of the Adj-RIB property test. Prefixes index a pool of
+    /// four and path ids range over four values, so replacements and
+    /// duplicate ids are common; the `u32` tag marks which route won.
+    #[derive(Debug, Clone)]
+    enum RibOp {
+        Insert(usize, u32, u32),
+        Remove(usize, u32),
+        RemovePrefix(usize),
+        SetPrefix(usize, Vec<(u32, u32)>),
+        Clear,
+    }
+
+    fn rib_op() -> impl proptest::strategy::Strategy<Value = RibOp> {
+        use proptest::prelude::*;
+        let px = || 0usize..4;
+        let id = || 0u32..4;
+        prop_oneof![
+            5 => (px(), id(), 1u32..1000).prop_map(|(p, i, t)| RibOp::Insert(p, i, t)),
+            3 => (px(), id()).prop_map(|(p, i)| RibOp::Remove(p, i)),
+            1 => px().prop_map(RibOp::RemovePrefix),
+            3 => (px(), proptest::collection::vec((id(), 1u32..1000), 0..6))
+                .prop_map(|(p, v)| RibOp::SetPrefix(p, v)),
+            1 => Just(RibOp::Clear),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The path-vector Adj-RIB agrees with the nested-map layout it
+        /// replaced on every return value and every read surface.
+        #[test]
+        fn adj_rib_matches_the_nested_map_model(
+            ops in proptest::collection::vec(rib_op(), 1..60)
+        ) {
+            use proptest::prelude::*;
+            let pool = [
+                Prefix::v4(10, 0, 0, 0, 8),
+                Prefix::v4(10, 1, 0, 0, 16),
+                Prefix::v4(192, 0, 2, 0, 24),
+                Prefix::v4(203, 0, 113, 0, 24),
+            ];
+            let mut rib = AdjRib::new();
+            let mut model = NestedRib::default();
+            for op in ops {
+                match op {
+                    RibOp::Insert(p, id, tag) => {
+                        let r = route(pool[p], id, tag);
+                        prop_assert_eq!(rib.insert(r.clone()), model.insert(r));
+                    }
+                    RibOp::Remove(p, id) => {
+                        prop_assert_eq!(rib.remove(&pool[p], id), model.remove(&pool[p], id));
+                    }
+                    RibOp::RemovePrefix(p) => {
+                        prop_assert_eq!(rib.remove_prefix(&pool[p]), model.remove_prefix(&pool[p]));
+                    }
+                    RibOp::SetPrefix(p, paths) => {
+                        let routes: Vec<Route> =
+                            paths.iter().map(|&(id, tag)| route(pool[p], id, tag)).collect();
+                        rib.set_prefix(&pool[p], routes.clone());
+                        model.set_prefix(&pool[p], routes);
+                    }
+                    RibOp::Clear => prop_assert_eq!(rib.clear(), model.clear()),
+                }
+                prop_assert_eq!(rib.check_invariants(), Ok(()));
+                let want: Vec<&Route> = model.0.values().flat_map(|m| m.values()).collect();
+                prop_assert_eq!(rib.iter().collect::<Vec<_>>(), want);
+                prop_assert_eq!(
+                    rib.prefixes().collect::<Vec<_>>(),
+                    model.0.keys().collect::<Vec<_>>()
+                );
+                prop_assert_eq!(rib.len(), model.0.values().map(BTreeMap::len).sum::<usize>());
+                prop_assert_eq!(rib.prefix_count(), model.0.len());
+                prop_assert_eq!(rib.is_empty(), model.0.is_empty());
+                for p in &pool {
+                    let paths = model.0.get(p);
+                    prop_assert_eq!(
+                        rib.paths(p).collect::<Vec<_>>(),
+                        paths.into_iter().flat_map(|m| m.values()).collect::<Vec<_>>()
+                    );
+                    for id in 0..4 {
+                        prop_assert_eq!(rib.get(p, id), paths.and_then(|m| m.get(&id)));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -585,12 +585,16 @@ impl DeadlineIndex {
 /// A complete BGP router.
 pub struct Speaker {
     cfg: SpeakerConfig,
-    peers: BTreeMap<PeerId, PeerState>,
+    /// Per-peer state, boxed: a `PeerState` is several hundred bytes, and
+    /// inline values would make even a one-peer map reserve a full B-tree
+    /// leaf of them.
+    peers: BTreeMap<PeerId, Box<PeerState>>,
     /// Armed peer timers by deadline.
     deadlines: DeadlineIndex,
     /// Export peer-groups, keyed by [`ExportGroupKey`]. Every configured
     /// peer belongs to exactly one group; solo peers get a private one.
-    groups: BTreeMap<ExportGroupKey, ExportGroup>,
+    /// Boxed for the same reason as `peers`.
+    groups: BTreeMap<ExportGroupKey, Box<ExportGroup>>,
     loc_rib: LocRib,
     local_routes: BTreeMap<Prefix, Arc<PathAttributes>>,
     interner: AttrInterner,
@@ -823,7 +827,7 @@ impl Speaker {
             armed: SimTime::MAX,
             cfg,
         };
-        self.peers.insert(state.cfg.id, state);
+        self.peers.insert(state.cfg.id, Box::new(state));
     }
 
     /// Remove a peer entirely, rerunning decisions for its routes.
@@ -868,11 +872,11 @@ impl Speaker {
                 None => {
                     self.groups.insert(
                         key,
-                        ExportGroup {
+                        Box::new(ExportGroup {
                             fingerprint: fp,
                             members: BTreeSet::from([peer.id]),
                             base: AdjRibOut::new(),
-                        },
+                        }),
                     );
                     return key;
                 }
@@ -2417,11 +2421,29 @@ impl Speaker {
     /// The peer is marked synced — joined to its group's shared view —
     /// only after the walk, so every prefix below diffs against an empty
     /// view exactly like the historical cleared Adj-RIB-Out.
+    ///
+    /// The walk covers the Loc-RIB and the local originations only. A
+    /// prefix held in some Adj-RIB-In but absent from the Loc-RIB has every
+    /// path damping-suppressed, so it has no candidate and would export
+    /// nothing; skipping it spares a scan of every peer's table per
+    /// session establishment.
     fn full_table_to(&mut self, peer: PeerId, now: SimTime) -> Vec<Output> {
-        let mut prefixes: BTreeSet<Prefix> = self.local_routes.keys().copied().collect();
-        for state in self.peers.values() {
-            prefixes.extend(state.adj_in.prefixes().copied());
-        }
+        let mut prefixes: Vec<Prefix> = self
+            .loc_rib
+            .iter()
+            .map(|r| r.prefix)
+            .chain(self.local_routes.keys().copied())
+            .collect();
+        prefixes.sort();
+        prefixes.dedup();
+        debug_assert!(
+            self.peers
+                .values()
+                .flat_map(|s| s.adj_in.prefixes())
+                .filter(|p| prefixes.binary_search(p).is_err())
+                .all(|p| self.candidates(p).is_empty()),
+            "an Adj-RIB-In prefix outside the Loc-RIB still has candidates"
+        );
         let mut out = Vec::new();
         for prefix in prefixes {
             out.extend(self.export_one_peer(prefix, peer, now));
@@ -3242,6 +3264,121 @@ mod tests {
             b.loc_rib().get(&p).is_some(),
             "released after damping decay"
         );
+    }
+
+    #[test]
+    fn table_sync_skips_prefixes_damping_keeps_out_of_the_loc_rib() {
+        let week = SimDuration::from_secs(7 * 24 * 3600);
+        let mut acfg = SpeakerConfig::new(Asn(1), Ipv4Addr::new(10, 0, 0, 1));
+        acfg.hold_time = week;
+        let mut a = Speaker::new(acfg);
+        let mut bcfg = SpeakerConfig::new(Asn(2), Ipv4Addr::new(10, 0, 0, 2))
+            .with_damping(DampingConfig::default());
+        bcfg.hold_time = week;
+        let mut b = Speaker::new(bcfg);
+        let mut c = speaker(3);
+        a.add_peer(PeerConfig::new(PeerId(0), Asn(2)));
+        b.add_peer(PeerConfig::new(PeerId(0), Asn(1)).passive());
+        b.add_peer(PeerConfig::new(PeerId(1), Asn(3)).passive());
+        c.add_peer(PeerConfig::new(PeerId(0), Asn(2)));
+        settle(&mut a, &mut b, PeerId(0), PeerId(0), SimTime::ZERO);
+        let (flapping, stable, local) = (
+            Prefix::v4(10, 10, 0, 0, 16),
+            Prefix::v4(10, 20, 0, 0, 16),
+            Prefix::v4(10, 30, 0, 0, 16),
+        );
+        let mut now = SimTime::ZERO;
+        let a_to_b = |outs: Vec<Output>, b: &mut Speaker, now: SimTime| {
+            for o in outs {
+                if let Output::Send(_, m) = o {
+                    b.on_message(PeerId(0), m, now);
+                }
+            }
+        };
+        a_to_b(a.originate(stable, now), &mut b, now);
+        b.originate(local, now);
+        for _ in 0..4 {
+            now += SimDuration::from_secs(10);
+            a_to_b(a.originate(flapping, now), &mut b, now);
+            now += SimDuration::from_secs(10);
+            a_to_b(a.withdraw_origin(flapping, now), &mut b, now);
+        }
+        now += SimDuration::from_secs(10);
+        a_to_b(a.originate(flapping, now), &mut b, now);
+        // The Adj-RIB-In holds the damped prefix; the Loc-RIB does not.
+        let held: Vec<Prefix> = b
+            .adj_rib_in(PeerId(0))
+            .unwrap()
+            .prefixes()
+            .copied()
+            .collect();
+        assert_eq!(held, vec![flapping, stable]);
+        assert!(b.loc_rib().get(&flapping).is_none(), "damped");
+        assert_eq!(b.loc_rib().len(), 2);
+
+        // Bring c up and record every UPDATE b sends it.
+        let mut to_c: Vec<BgpMessage> = Vec::new();
+        let mut to_b: Vec<BgpMessage> = Vec::new();
+        let mut updates: Vec<UpdateMessage> = Vec::new();
+        let mut from_b = |outs: Vec<Output>, sink: &mut Vec<BgpMessage>| {
+            for o in outs {
+                if let Output::Send(PeerId(1), m) = o {
+                    if let BgpMessage::Update(u) = &m {
+                        updates.push(u.clone());
+                    }
+                    sink.push(m);
+                }
+            }
+        };
+        from_b(b.start_peer(PeerId(1), now), &mut to_c);
+        to_b.extend(
+            c.start_peer(PeerId(0), now)
+                .into_iter()
+                .filter_map(|o| match o {
+                    Output::Send(_, m) => Some(m),
+                    _ => None,
+                }),
+        );
+        for _ in 0..16 {
+            for m in std::mem::take(&mut to_b) {
+                from_b(b.on_message(PeerId(1), m, now), &mut to_c);
+            }
+            for m in std::mem::take(&mut to_c) {
+                for o in c.on_message(PeerId(0), m, now) {
+                    if let Output::Send(_, m) = o {
+                        to_b.push(m);
+                    }
+                }
+            }
+        }
+        assert!(to_b.is_empty() && to_c.is_empty(), "did not converge");
+        assert!(b.peer_established(PeerId(1)));
+        let sent: Vec<(Vec<Prefix>, String)> = updates
+            .iter()
+            .map(|u| {
+                (
+                    u.announced.iter().map(|n| n.prefix).collect(),
+                    u.attrs
+                        .as_ref()
+                        .map_or(String::new(), |a| a.as_path.to_string()),
+                )
+            })
+            .collect();
+        assert_eq!(
+            sent,
+            vec![
+                (vec![stable], "2 1".to_string()),
+                (vec![local], "2".to_string()),
+                (vec![], String::new()),
+            ]
+        );
+        assert!(updates.iter().all(|u| u.withdrawn.is_empty()));
+        assert!(updates.last().unwrap().is_end_of_rib());
+        assert_eq!(
+            c.loc_rib().iter().map(|r| r.prefix).collect::<Vec<_>>(),
+            vec![stable, local]
+        );
+        assert_eq!(b.check_invariants(), Ok(()));
     }
 
     #[test]

@@ -350,8 +350,14 @@ impl<K: TrieKey, T> RadixTrie<K, T> {
     /// Preorder iteration over all entries: `(address, length)`
     /// lexicographic order (see the module docs for why).
     pub fn iter(&self) -> TrieIter<'_, K, T> {
+        // An empty trie yields nothing, so it starts with an unallocated
+        // stack, as `covered` does on a miss.
         TrieIter {
-            stack: vec![&self.root],
+            stack: if self.len == 0 {
+                Vec::new()
+            } else {
+                vec![&self.root]
+            },
         }
     }
 
@@ -682,5 +688,20 @@ mod tests {
         t.remove(&p("10.128.0.0/9"));
         assert_eq!(t.node_count(), 0);
         assert!(t.is_empty());
+    }
+
+    #[test]
+    fn empty_trie_iterates_without_allocating() {
+        let mut t: RadixTrie<u32, ()> = RadixTrie::new();
+        assert_eq!(t.iter().stack.capacity(), 0);
+        t.insert(0x0a00_0000, 8, ());
+        assert_eq!(t.iter().count(), 1);
+        t.remove(0x0a00_0000, 8);
+        let it = t.iter();
+        assert_eq!(it.stack.capacity(), 0, "drained trie still allocates");
+        assert_eq!(it.count(), 0);
+        // The default route lives on the root itself.
+        t.insert(0, 0, ());
+        assert_eq!(t.iter().count(), 1);
     }
 }

@@ -65,6 +65,9 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo check perfbench (the benchmark builds against the current crate APIs)"
+cargo check --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
